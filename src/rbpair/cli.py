@@ -182,13 +182,13 @@ def _cmd_decompose(args) -> Report:
             check_rota_baxter(rb.algebra, rb.operator, rb.weight))
         if not rb_check.holds:
             return report
-        _dec, dec_report = decompose_bicrossed(rb)
+        dec, dec_report = decompose_bicrossed(rb)
         report.merge(dec_report)
         report.data.update(dec_report.data)
-        first = iso_first_factor(rb)
+        first = iso_first_factor(dec)
         report.merge(first, prefix="g1-")
         report.data.update(first.data)
-        second = iso_second_factor_quotient(rb)
+        second = iso_second_factor_quotient(dec)
         report.merge(second, prefix="g2-")
         report.data.update(second.data)
         return report

@@ -66,6 +66,66 @@ def abelian1_half_rb() -> RotaBaxterLie:
     )
 
 
+def _borel_rb(n: int, traceless: bool) -> RotaBaxterLie:
+    """gl(n) or sl(n) with the projection onto the upper-triangular (Borel)
+    subalgebra along the strictly lower-triangular one; weight -1.
+
+    Basis of gl(n): the matrix units E_ij in row-major order, labelled eij.
+    Basis of sl(n): E_ij for i != j in row-major order, then
+    h_i = E_ii - E_(i+1)(i+1).
+    """
+    units = [(i, j) for i in range(n) for j in range(n)
+             if not (traceless and i == j)]
+    basis = [{u: 1} for u in units]
+    labels = [f"e{i}{j}" for i, j in units]
+    if traceless:
+        basis += [{(i, i): 1, (i + 1, i + 1): -1} for i in range(n - 1)]
+        labels += [f"h{i}" for i in range(n - 1)]
+    index = {u: k for k, u in enumerate(units)}
+
+    def coords(m: dict) -> dict[int, int]:
+        out = {index[u]: v for u, v in m.items()
+               if v and (u[0] != u[1] or not traceless)}
+        if traceless:
+            running = 0   # h-coefficients are running sums of the diagonal
+            for i in range(n - 1):
+                running += m.get((i, i), 0)
+                if running:
+                    out[len(units) + i] = running
+        return out
+
+    def commutator(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for (a, b), s in x.items():
+            for (c, d), t in y.items():
+                if b == c:
+                    out[(a, d)] = out.get((a, d), 0) + s * t
+                if d == a:
+                    out[(c, b)] = out.get((c, b), 0) - s * t
+        return out
+
+    brackets = {}
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            terms = coords(commutator(basis[a], basis[b]))
+            if terms:
+                brackets[(a, b)] = terms
+    upper = [i <= j for i, j in units] + [True] * (len(basis) - len(units))
+    return RotaBaxterLie(LieAlgebra.from_sparse(labels, brackets),
+                         Matrix.diagonal([1 if u else 0 for u in upper]),
+                         Fraction(-1))
+
+
+def gl_borel_rb(n: int) -> RotaBaxterLie:
+    """gl(n) with its Borel projection; weight -1."""
+    return _borel_rb(n, traceless=False)
+
+
+def sl_borel_rb(n: int) -> RotaBaxterLie:
+    """sl(n) with its Borel projection; weight -1."""
+    return _borel_rb(n, traceless=True)
+
+
 def klein_four() -> FiniteGroup:
     """The 2x2 elementary abelian group as a direct product."""
     return direct_product(cyclic(2), cyclic(2))

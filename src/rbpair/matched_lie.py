@@ -50,6 +50,7 @@ from .linalg import (
     solve_linear,
     vadd,
     vector,
+    vneg,
     vscale,
     vsub,
     vzero,
@@ -550,6 +551,26 @@ def canonical_projections(bc: BicrossedLie) -> tuple[LieProjection, LieProjectio
     evaluated on the echelon bases.  Closed forms and representative-based
     evaluation are cross-checked against each other, including alternative
     representatives along every kernel direction.
+
+    The cross-check works by linearity.  A representative pair (x1, x2) of
+    g ⊕ g names the bicrossed element w(x1, x2) = (B x1, B~ x2), and the
+    closed forms predict C w = (B t, B~ t) with t = B x1 + B~ x2 and
+    C~ w = (B B~ d, −B B~ d) with d = x1 − x2.  The map w, both predictions,
+    and C∘w, C~∘w are linear in (x1, x2), and so are the differences that
+    must vanish.  Hence:
+
+    * moving a representative along k ∈ ker B in slot 1 or k' ∈ ker B~ in
+      slot 2 leaves w unchanged for every such k, k' exactly when B k = 0
+      for each basis vector k of ``split.h_minus`` and B~ k' = 0 for each
+      basis vector k' of ``split.h_plus``;
+    * w lands in the factors, and both predictions agree with C w and C~ w,
+      on all of g ⊕ g exactly when they do on the 2n basis vectors (eᵢ, 0)
+      and (0, eᵢ).
+
+    Those checks imply every instance of the pointwise form, which tried
+    each ambient basis pair (e_i1, e_i2) with (1 + dim ker B)(1 + dim ker B~)
+    perturbed representatives: each such pair lies in the span examined
+    here.  The kernel conditions are themselves instances of that form.
     """
     if bc.split is None:
         raise DimensionMismatchError("projections need a bicrossed algebra with split")
@@ -593,51 +614,35 @@ def canonical_projections(bc: BicrossedLie) -> tuple[LieProjection, LieProjectio
         None if c_matrix @ ct_matrix == zero and ct_matrix @ c_matrix == zero
         else "C∘C~ or C~∘C is nonzero"))
 
-    # representative cross-check: w = (B(x1), B~(x2)) for ambient basis x1, x2,
-    # perturbed along ker B in slot 1 and ker B~ in slot 2
-    h_minus = bc.split.h_minus.basis_vectors()   # ker B
-    h_plus = bc.split.h_plus.basis_vectors()     # ker B~
-    witness = None
-    for i1 in range(g.dim):
-        if witness:
-            break
-        for i2 in range(g.dim):
-            if witness:
-                break
-            base1, base2 = g.basis_vector(i1), g.basis_vector(i2)
-            reps1 = [base1] + [vadd(base1, k) for k in h_minus]
-            reps2 = [base2] + [vadd(base2, k) for k in h_plus]
-            w = bc.embed_ambient_pair(rb.apply(base1), tilde.apply(base2))
-            if w is None:
-                witness = f"representative ({i1},{i2}) escapes"
-                break
-            got_c = c_matrix.matvec(w)
-            got_ct = ct_matrix.matvec(w)
-            for x1 in reps1:
-                for x2 in reps2:
-                    if bc.embed_ambient_pair(rb.apply(x1), tilde.apply(x2)) != w:
-                        witness = (f"representatives of ({i1},{i2}) map to "
-                                   "different bicrossed elements")
-                        break
-                    total = vadd(rb.apply(x1), tilde.apply(x2))
-                    want_c = bc.embed_ambient_pair(rb.apply(total),
-                                                   tilde.apply(total))
-                    diff = vsub(x1, x2)
-                    bb = rb.apply(tilde.apply(diff))
-                    want_ct = bc.embed_ambient_pair(bb, vneg_vec(bb))
-                    if want_c != got_c or want_ct != got_ct:
-                        witness = (f"closed form and representative form disagree "
-                                   f"at ({i1},{i2})")
-                        break
-                if witness:
-                    break
+    def representative_witness() -> str | None:
+        for s, k in enumerate(bc.split.h_minus.basis_vectors()):
+            if not is_zero_vector(rb.apply(k)):
+                return f"ker B basis vector {s} moves the slot-1 representative"
+        for s, k in enumerate(bc.split.h_plus.basis_vectors()):
+            if not is_zero_vector(tilde.apply(k)):
+                return f"ker B~ basis vector {s} moves the slot-2 representative"
+        origin = vzero(g.dim)
+        for slot in (1, 2):
+            for i in range(g.dim):
+                e = g.basis_vector(i)
+                x1, x2 = (e, origin) if slot == 1 else (origin, e)
+                w = bc.embed_ambient_pair(rb.apply(x1), tilde.apply(x2))
+                if w is None:
+                    return f"representative {g.labels[i]} in slot {slot} escapes"
+                total = vadd(rb.apply(x1), tilde.apply(x2))
+                bb = rb.apply(tilde.apply(vsub(x1, x2)))
+                if (bc.embed_ambient_pair(rb.apply(total), tilde.apply(total))
+                        != c_matrix.matvec(w)
+                        or bc.embed_ambient_pair(bb, vneg(bb))
+                        != ct_matrix.matvec(w)):
+                    return (f"closed form and representative form disagree at "
+                            f"{g.labels[i]} in slot {slot}")
+        return None
+
     report.add(checked("representative-independence",
-                       "projection-representative-independence", witness))
+                       "projection-representative-independence",
+                       representative_witness()))
     return proj_c, proj_ct, report
-
-
-def vneg_vec(v: Vector) -> Vector:
-    return tuple(-x for x in v)
 
 
 def rb_from_projection(
@@ -753,7 +758,7 @@ def decompose_bicrossed(rb: RotaBaxterLie) -> tuple[Decomposition, Report]:
     witness = None
     for r, w in enumerate(g2_space.basis_vectors()):
         x, u = bc.ambient_components(w)
-        if u != vneg_vec(x) or not inter.contains(x):
+        if u != vneg(x) or not inter.contains(x):
             witness = f"second-factor basis vector {r} is not of the (x,-x) shape"
             break
     report.add(checked("second-factor-antidiagonal-shape", "second-factor-shape",
@@ -792,11 +797,14 @@ def decompose_bicrossed(rb: RotaBaxterLie) -> tuple[Decomposition, Report]:
     return Decomposition(bc, proj_c, proj_ct, g1, g2), report
 
 
-def iso_first_factor(rb: RotaBaxterLie) -> Report:
+def iso_first_factor(dec: Decomposition) -> Report:
     """x ↦ (B(x), B~(x)) is a Rota-Baxter isomorphism of (g, B) onto the
-    first factor im C with its induced operator B₁((x,u)) = C((x,0))."""
-    dec, _ = decompose_bicrossed(rb)
+    first factor im C with its induced operator B₁((x,u)) = C((x,0)).
+
+    ``dec`` is the decomposition built by ``decompose_bicrossed``; (g, B) is
+    the operator its split was taken from."""
     bc = dec.bicrossed
+    rb = bc.split.parent
     g = rb.algebra
     tilde = tilde_operator(rb)
     report = Report(subject=f"first_factor_iso(dim={g.dim})")
@@ -850,12 +858,15 @@ def iso_first_factor(rb: RotaBaxterLie) -> Report:
     return report
 
 
-def iso_second_factor_quotient(rb: RotaBaxterLie) -> Report:
+def iso_second_factor_quotient(dec: Decomposition) -> Report:
     """x̄ ↦ (B∘B~(x), −B∘B~(x)) is a Rota-Baxter isomorphism from the
     quotient of the descendent algebra by ker B~ + ker B onto the second
-    factor im C~ with its operator B₂((x,u)) = C~((0,u))."""
-    dec, _ = decompose_bicrossed(rb)
+    factor im C~ with its operator B₂((x,u)) = C~((0,u)).
+
+    ``dec`` is the decomposition built by ``decompose_bicrossed``; (g, B) is
+    the operator its split was taken from."""
     bc = dec.bicrossed
+    rb = bc.split.parent
     g = rb.algebra
     report = Report(subject=f"second_factor_iso(dim={g.dim})")
     rb_bar, proj, quotient_report = quotient_rb(rb)
@@ -900,7 +911,7 @@ def iso_second_factor_quotient(rb: RotaBaxterLie) -> Report:
     witness = None
     for a, pos in enumerate(positions):
         z = prod.matvec(g.basis_vector(pos))
-        w = bc.embed_ambient_pair(z, vneg_vec(z))
+        w = bc.embed_ambient_pair(z, vneg(z))
         coords = None if w is None else g2_space.coordinates_of(w)
         if coords is None:
             witness = f"image of quotient basis vector {a} misses the factor"

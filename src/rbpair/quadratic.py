@@ -167,12 +167,13 @@ def check_compatibility(q: QuadraticRB) -> Report:
                        "weighted-form-compatibility", witness))
 
     if rb.weight == Fraction(-1):
+        tilde = rb.tilde_matrix()
         witness = None
         for i in range(n):
             for j in range(n):
                 ei, ej = g.basis_vector(i), g.basis_vector(j)
                 lhs = form_value(s, rb.apply(ei), ej)
-                rhs = form_value(s, ei, rb.apply_tilde(ej))
+                rhs = form_value(s, ei, tilde.matvec(ej))
                 if lhs != rhs:
                     witness = (f"pair ({g.labels[i]},{g.labels[j]}): "
                                f"{lhs} != {rhs}")

@@ -68,9 +68,6 @@ class RotaBaxterLie:
     def tilde_matrix(self) -> Matrix:
         return Matrix.identity(self.dim).scale(-self.weight) - self.operator
 
-    def apply_tilde(self, v: Vector) -> Vector:
-        return self.tilde_matrix().matvec(v)
-
     def descendent_bracket(self, x: Vector, y: Vector) -> Vector:
         g = self.algebra
         out = g.bracket(self.apply(x), y)

@@ -84,13 +84,13 @@ def test_acceptance_1_full_chain_on_projection_operator():
         assert verify_matched_pair(mp).ok
         bc = bicrossed_from_rb(rb)
         assert bicrossed_certificates(bc).ok
-        _dec, report = decompose_bicrossed(rb)
+        dec, report = decompose_bicrossed(rb)
         assert report.ok
         assert report.data["g1_dim"] == 3
         assert report.data["g2_dim"] == 0
         assert report.data["intersection_dim"] == 0
-        assert iso_first_factor(rb).ok
-        second = iso_second_factor_quotient(rb)
+        assert iso_first_factor(dec).ok
+        second = iso_second_factor_quotient(dec)
         assert second.ok
         assert second.data["quotient_dim"] == 0
 
@@ -100,14 +100,14 @@ def test_acceptance_2_half_operator_quotient_line():
         rb = abelian2_half_rb()
         bc = bicrossed_from_rb(rb)
         assert bc.total.dim == 3
-        _dec, report = decompose_bicrossed(rb)
+        dec, report = decompose_bicrossed(rb)
         assert report.ok
         assert report.data["g2_dim"] == 1
         quotient, _proj, q_report = quotient_rb(rb)
         assert q_report.ok
         assert quotient.algebra.dim == 1
         assert quotient.operator.entries == ((Fraction(1, 2),),)
-        assert iso_first_factor(rb).ok
+        assert iso_first_factor(dec).ok
 
 
 def test_acceptance_3_cotangent_quadratic_suite():

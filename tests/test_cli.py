@@ -3,17 +3,20 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rbpair import io
+from rbpair import cli, io, matched_lie
 from rbpair.cli import main
 from rbpair.fixtures import (
     abelian2_half_rb,
     aff1,
     sl2_projection_rb,
+    sl_borel_rb,
     z4_squaring_rb,
 )
+from rbpair.matched_lie import decompose_bicrossed
 from rbpair.quadratic import cotangent_fixture
 
 
@@ -248,6 +251,41 @@ def test_decompose_lie_half_operator_has_line_quotient(tmp_path, capsys):
     assert doc["g1_dim"] == 2
     assert doc["g2_dim"] == 1
     assert doc["quotient_dim"] == 1
+
+
+def test_decompose_lie_builds_decomposition_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(rb):
+        calls.append(rb)
+        return decompose_bicrossed(rb)
+
+    monkeypatch.setattr(cli, "decompose_bicrossed", counting)
+    monkeypatch.setattr(matched_lie, "decompose_bicrossed", counting)
+    code, _, _ = run(capsys, ["decompose", "lie", sl2_rb_path(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+
+
+# Expected stdout of `rbpair decompose lie`, recorded before the projection
+# check was rewritten by linearity and the decomposition was shared between
+# the factor certificates; reports must stay unchanged byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_INPUTS = {
+    "sl2_projection_rb": sl2_projection_rb,
+    "abelian2_half_rb": abelian2_half_rb,
+    "sl3_borel_rb": lambda: sl_borel_rb(3),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(GOLDEN_INPUTS))
+def test_decompose_lie_matches_golden_bytes(tmp_path, capsys, name, fmt):
+    path = write(tmp_path, f"{name}.json", io.rb_lie_to_dict(GOLDEN_INPUTS[name]()))
+    code, out, _ = run(capsys, ["decompose", "lie", path, "--report", fmt])
+    assert code == 0
+    suffix = "txt" if fmt == "text" else "json"
+    assert out.encode() == (GOLDEN / f"decompose_lie_{name}.{suffix}").read_bytes()
 
 
 def test_decompose_group_reports_quotient_order(tmp_path, capsys):

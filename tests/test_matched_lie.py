@@ -1,9 +1,12 @@
 """Matched pairs, bicrossed products, projections, and the factor
 isomorphisms, pinned against hand-computed values."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbpair.errors import (
     AxiomsFailedError,
@@ -15,11 +18,22 @@ from rbpair.fixtures import (
     abelian1_half_rb,
     abelian2_half_rb,
     aff1,
+    gl_borel_rb,
     sl2,
     sl2_projection_rb,
+    sl_borel_rb,
 )
 from rbpair.lie import LieAlgebra, LieHom, validate_lie_algebra
-from rbpair.linalg import Matrix, Subspace, vector, vzero
+from rbpair.linalg import (
+    Matrix,
+    Subspace,
+    is_zero_vector,
+    vadd,
+    vector,
+    vneg,
+    vsub,
+    vzero,
+)
 from rbpair.matched_lie import (
     MatchedPairLie,
     bicrossed_certificates,
@@ -39,7 +53,7 @@ from rbpair.matched_lie import (
     verify_matched_pair,
     zero_actions,
 )
-from rbpair.rb_lie import RotaBaxterLie, lemma_suite_lie
+from rbpair.rb_lie import RotaBaxterLie, lemma_suite_lie, tilde_operator
 
 F = Fraction
 
@@ -260,6 +274,113 @@ def test_is_lie_projection_cases():
     assert not report.checks[0].holds  # idempotency
 
 
+# ------------------------------------ representative check: pointwise vs linear
+
+
+def pointwise_representative_witness(bc, c_matrix, ct_matrix):
+    """Reference form of the ``representative-independence`` check: every
+    ambient basis pair (x1, x2), tried with every representative perturbed
+    along one basis direction of ker B in slot 1 and of ker B~ in slot 2.
+    ``canonical_projections`` replaces it by checks on a spanning set."""
+    rb = bc.split.parent
+    g = rb.algebra
+    tilde = tilde_operator(rb)
+    h_minus = bc.split.h_minus.basis_vectors()   # ker B
+    h_plus = bc.split.h_plus.basis_vectors()     # ker B~
+    for i1 in range(g.dim):
+        for i2 in range(g.dim):
+            base1, base2 = g.basis_vector(i1), g.basis_vector(i2)
+            reps1 = [base1] + [vadd(base1, k) for k in h_minus]
+            reps2 = [base2] + [vadd(base2, k) for k in h_plus]
+            w = bc.embed_ambient_pair(rb.apply(base1), tilde.apply(base2))
+            if w is None:
+                return f"representative ({i1},{i2}) escapes"
+            got_c = c_matrix.matvec(w)
+            got_ct = ct_matrix.matvec(w)
+            for x1 in reps1:
+                for x2 in reps2:
+                    if bc.embed_ambient_pair(rb.apply(x1), tilde.apply(x2)) != w:
+                        return (f"representatives of ({i1},{i2}) map to "
+                                "different bicrossed elements")
+                    total = vadd(rb.apply(x1), tilde.apply(x2))
+                    want_c = bc.embed_ambient_pair(rb.apply(total),
+                                                   tilde.apply(total))
+                    bb = rb.apply(tilde.apply(vsub(x1, x2)))
+                    want_ct = bc.embed_ambient_pair(bb, vneg(bb))
+                    if want_c != got_c or want_ct != got_ct:
+                        return (f"closed form and representative form disagree "
+                                f"at ({i1},{i2})")
+    return None
+
+
+def representative_verdicts(bc):
+    """The linear check from ``canonical_projections`` and the pointwise
+    reference on the same projection matrices; asserts equal verdicts."""
+    proj_c, proj_ct, report = canonical_projections(bc)
+    (linear,) = [c for c in report.checks if c.name == "representative-independence"]
+    assert linear.anchor == "projection-representative-independence"
+    pointwise = pointwise_representative_witness(bc, proj_c.matrix, proj_ct.matrix)
+    assert linear.holds == (pointwise is None)
+    return linear, pointwise
+
+
+def with_kernel_outside(bc, field):
+    """The bicrossed algebra with ``split.<field>`` replaced by the line
+    through the first basis vector that its operator does not kill."""
+    rb = bc.split.parent
+    op = rb.operator if field == "h_minus" else rb.tilde_matrix()
+    i = next(i for i in range(rb.dim) if not is_zero_vector(op.col(i)))
+    line = Subspace.from_spanning([rb.algebra.basis_vector(i)], rb.dim)
+    return dataclasses.replace(
+        bc, split=dataclasses.replace(bc.split, **{field: line}))
+
+
+REPRESENTATIVE_PANEL = [
+    pytest.param(sl2_projection_rb, id="sl2-projection"),
+    pytest.param(abelian2_half_rb, id="abelian2-half"),
+    pytest.param(abelian1_half_rb, id="abelian1-half"),
+    pytest.param(lambda: gl_borel_rb(2), id="gl2-borel"),
+    # the pointwise reference walks 64 pairs x 24 representatives here
+    pytest.param(lambda: sl_borel_rb(3), id="sl3-borel", marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("make_rb", REPRESENTATIVE_PANEL)
+def test_representative_check_matches_pointwise_on_panel(make_rb):
+    linear, pointwise = representative_verdicts(bicrossed_from_rb(make_rb()))
+    assert linear.holds and pointwise is None
+
+
+@pytest.mark.parametrize("field", ["h_minus", "h_plus"])
+@pytest.mark.parametrize("make_rb", REPRESENTATIVE_PANEL)
+def test_representative_check_fails_with_kernel_outside(make_rb, field):
+    bc = with_kernel_outside(bicrossed_from_rb(make_rb()), field)
+    linear, pointwise = representative_verdicts(bc)
+    assert not linear.holds and linear.witness
+    assert pointwise is not None
+
+
+ENTRIES = st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(2)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_representative_check_matches_pointwise_on_abelian(rows):
+    # every operator on an abelian algebra is Rota-Baxter of every weight
+    n = len(rows)
+    rb = RotaBaxterLie(LieAlgebra.abelian(n), Matrix.from_rows(rows, n), F(-1))
+    bc = bicrossed_from_rb(rb)
+    linear, pointwise = representative_verdicts(bc)
+    assert linear.holds and pointwise is None
+    for field, op in (("h_minus", rb.operator), ("h_plus", rb.tilde_matrix())):
+        if not op.is_zero():
+            linear, pointwise = representative_verdicts(
+                with_kernel_outside(bc, field))
+            assert not linear.holds and linear.witness
+            assert pointwise is not None
+
+
 # ------------------------------------------------------- operators from proj
 
 
@@ -316,18 +437,18 @@ def test_decompose_identity_operator_no_second_factor():
 
 
 def test_first_factor_iso_sl2():
-    report = iso_first_factor(sl2_projection_rb())
+    report = iso_first_factor(decompose_bicrossed(sl2_projection_rb())[0])
     assert report.ok
     assert report.data["g1_dim"] == 3
 
 
 def test_first_factor_iso_identity_operator():
     rb = RotaBaxterLie(sl2(), Matrix.identity(3), F(-1))
-    assert iso_first_factor(rb).ok
+    assert iso_first_factor(decompose_bicrossed(rb)[0]).ok
 
 
 def test_first_factor_iso_one_dim():
-    report = iso_first_factor(abelian1_half_rb())
+    report = iso_first_factor(decompose_bicrossed(abelian1_half_rb())[0])
     assert report.ok
     assert report.data["g1_dim"] == 1
 
@@ -336,14 +457,14 @@ def test_first_factor_iso_one_dim():
 
 
 def test_second_factor_sl2_zero_dims():
-    report = iso_second_factor_quotient(sl2_projection_rb())
+    report = iso_second_factor_quotient(decompose_bicrossed(sl2_projection_rb())[0])
     assert report.ok
     assert report.data["g2_dim"] == 0
     assert report.data["quotient_dim"] == 0
 
 
 def test_second_factor_abelian2_frozen():
-    report = iso_second_factor_quotient(abelian2_half_rb())
+    report = iso_second_factor_quotient(decompose_bicrossed(abelian2_half_rb())[0])
     assert report.ok
     assert report.data["g2_dim"] == 1
     assert report.data["quotient_dim"] == 1
@@ -351,7 +472,7 @@ def test_second_factor_abelian2_frozen():
 
 def test_second_factor_zero_operator():
     rb = RotaBaxterLie(sl2(), Matrix.zero(3, 3), F(-1))
-    report = iso_second_factor_quotient(rb)
+    report = iso_second_factor_quotient(decompose_bicrossed(rb)[0])
     assert report.ok
     assert report.data["g2_dim"] == 0
     assert report.data["quotient_dim"] == 0
