@@ -23,6 +23,7 @@ from .errors import AxiomsFailedError, MalformedInputError, RBPairError
 from .groups import GroupMap
 from .lie import validate_lie_algebra
 from .matched_group import (
+    bicrossed_from_rb_group,
     bicrossed_group,
     bicrossed_group_certificates,
     canonical_group_projections,
@@ -200,12 +201,13 @@ def _cmd_decompose(args) -> Report:
     rb_check = report.add(check_rb_group(rbg.group, rbg.operator))
     if not rb_check.holds:
         return report
-    chat, ctil, proj_report = canonical_group_projections(rbg)
+    bc = bicrossed_from_rb_group(rbg)
+    chat, ctil, proj_report = canonical_group_projections(bc)
     report.merge(proj_report)
-    iso_report = iso_second_factor_quotient_group(rbg)
+    iso_report = iso_second_factor_quotient_group(ctil)
     report.merge(iso_report)
     report.data.update(iso_report.data)
-    report.data["bicrossed_order"] = chat.ambient.total.order
+    report.data["bicrossed_order"] = bc.total.order
     report.data["g1_order"] = len(set(chat.operator.values))
     return report
 
@@ -222,9 +224,9 @@ def _operator_suite_witness(rbg: RotaBaxterGroup) -> str | None:
         suite.merge(verify_matched_pair_group(mp))
         bc = bicrossed_group(mp, split)
         suite.merge(bicrossed_group_certificates(bc))
-        _chat, _ctil, proj_report = canonical_group_projections(rbg)
+        _chat, ctil, proj_report = canonical_group_projections(bc)
         suite.merge(proj_report)
-        suite.merge(iso_second_factor_quotient_group(rbg))
+        suite.merge(iso_second_factor_quotient_group(ctil))
     except RBPairError as exc:
         return f"raised: {exc}"
     if suite.ok:
@@ -323,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--mode", choices=("naive", "pruned"),
                         default="pruned", help="enumeration strategy")
     search.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (output is identical for any value)")
+                        help="worker processes, capped at the group order "
+                             "(output is identical for any value)")
     search.add_argument("--out", default=None,
                         help="write the census file here instead of inlining it")
     search.add_argument("--verify-all", action="store_true",

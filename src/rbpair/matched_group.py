@@ -27,7 +27,7 @@ kernels generate onto the second factor im C~.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     AxiomsFailedError,
@@ -50,9 +50,8 @@ from .rb_group import (
     check_rb_group_homomorphism,
     quotient_rb_group,
     split_subgroups,
-    tilde_map,
 )
-from .reports import Check, Report, checked
+from .reports import Report, checked
 
 __all__ = [
     "MatchedPairGroup",
@@ -265,26 +264,30 @@ class BicrossedGroup:
             raise MalformedInputError("total index out of range")
         return divmod(w, self.q)
 
+    def attached_split(self) -> RBGroupSplit:
+        """The split the pair was built from; raises when none is attached."""
+        if self.split is None:
+            raise MalformedInputError("bicrossed group has no attached split")
+        return self.split
+
     def index_of_parent_pair(self, u: int, v: int) -> int | None:
         """Total index of (u, v) for parent elements u ∈ im B, v ∈ im B~.
 
         Requires the split; returns None when either element lies outside
         its factor.
         """
-        if self.split is None:
-            raise MalformedInputError("bicrossed group has no attached split")
-        i = self.split.g_plus.position(u)
-        j = self.split.g_minus.position(v)
+        split = self.attached_split()
+        i = split.g_plus.position(u)
+        j = split.g_minus.position(v)
         if i is None or j is None:
             return None
         return i * self.q + j
 
     def parent_pair(self, w: int) -> tuple[int, int]:
         """Parent elements (u, v) behind a total index; needs the split."""
-        if self.split is None:
-            raise MalformedInputError("bicrossed group has no attached split")
+        split = self.attached_split()
         i, j = self.components(w)
-        return self.split.g_plus.members[i], self.split.g_minus.members[j]
+        return split.g_plus.members[i], split.g_minus.members[j]
 
 
 def bicrossed_group(mp: MatchedPairGroup,
@@ -332,12 +335,10 @@ def bicrossed_group_certificates(bc: BicrossedGroup) -> Report:
 
     inc_plus = GroupMap(gp, total, tuple(a * q for a in gp.elements()))
     inc_minus = GroupMap(gm, total, tuple(gm.elements()))
-    plus_check = check_group_homomorphism(inc_plus)
-    report.add(Check("plus-embedding-homomorphism", "block-embedding",
-                     plus_check.holds, plus_check.witness))
-    minus_check = check_group_homomorphism(inc_minus)
-    report.add(Check("minus-embedding-homomorphism", "block-embedding",
-                     minus_check.holds, minus_check.witness))
+    report.add(replace(check_group_homomorphism(inc_plus),
+                       name="plus-embedding-homomorphism", anchor="block-embedding"))
+    report.add(replace(check_group_homomorphism(inc_minus),
+                       name="minus-embedding-homomorphism", anchor="block-embedding"))
     return report
 
 
@@ -412,6 +413,7 @@ def matched_pair_from_rb_group(
 
 
 def bicrossed_from_rb_group(rbg: RotaBaxterGroup) -> BicrossedGroup:
+    """The bicrossed group of the pair an operator induces, split attached."""
     mp, split = matched_pair_from_rb_group(rbg)
     return bicrossed_group(mp, split)
 
@@ -439,18 +441,14 @@ def group_projection_check(bc: BicrossedGroup, c: GroupMap) -> Report:
             break
     report.add(checked("idempotent", "projection-idempotency", witness))
 
-    hom = check_group_homomorphism(c)
-    report.add(Check("endomorphism", "projection-endomorphism",
-                     hom.holds, hom.witness))
-
-    rb_check = check_rb_group(total, c)
-    report.add(Check("projection-rota-baxter", rb_check.anchor,
-                     rb_check.holds, rb_check.witness))
+    report.add(replace(check_group_homomorphism(c), name="endomorphism",
+                       anchor="projection-endomorphism"))
+    report.add(replace(check_rb_group(total, c), name="projection-rota-baxter"))
     return report
 
 
 def canonical_group_projections(
-    rbg: RotaBaxterGroup,
+    bc: BicrossedGroup,
 ) -> tuple[GroupProjection, GroupProjection, Report]:
     """The complementary idempotent pair of the bicrossed group of a
     Rota-Baxter operator, in closed form on parent representatives:
@@ -464,9 +462,13 @@ def canonical_group_projections(
     the pointwise factorization Ĉ(x)·⋈C~(x) = x is checked on every element,
     and every element of im Ĉ is checked to commute with every element of
     im C~.
+
+    ``bc`` is the bicrossed group built with its split attached, as by
+    ``bicrossed_from_rb_group``; the operator B is ``bc.split.parent``.
+    Without a split it raises ``MalformedInputError``.
     """
-    mp, split = matched_pair_from_rb_group(rbg)
-    bc = bicrossed_group(mp, split)
+    split = bc.attached_split()
+    rbg = split.parent
     g = rbg.group
     total = bc.total
     bvals = rbg.operator.values
@@ -576,12 +578,9 @@ def rb_from_group_projection(
     induced = sub.induced
     b_map = GroupMap(induced, induced, tuple(b_vals))
     bt_map = GroupMap(induced, induced, tuple(bt_vals))
-    first = check_rb_group(induced, b_map)
-    report.add(Check("plus-part-rota-baxter", first.anchor, first.holds,
-                     first.witness))
-    second = check_rb_group(induced, bt_map)
-    report.add(Check("minus-part-rota-baxter", second.anchor, second.holds,
-                     second.witness))
+    report.add(replace(check_rb_group(induced, b_map), name="plus-part-rota-baxter"))
+    report.add(replace(check_rb_group(induced, bt_map),
+                       name="minus-part-rota-baxter"))
 
     witness = None
     for t in induced.elements():
@@ -594,17 +593,22 @@ def rb_from_group_projection(
             sub, report)
 
 
-def iso_second_factor_quotient_group(rbg: RotaBaxterGroup) -> Report:
+def iso_second_factor_quotient_group(ct: GroupProjection) -> Report:
     """ā ↦ (B(B~(a⁻¹))⁻¹, B~(B(a)⁻¹)) is a Rota-Baxter isomorphism from the
     quotient of the descendent group by the subgroup its kernels generate
-    onto the second factor im C~ with its operator B₂((a,b)) = C~((e,b))."""
+    onto the second factor im C~ with its operator B₂((a,b)) = C~((e,b)).
+
+    ``ct`` is the second projection C~ returned by
+    ``canonical_group_projections``; its ambient bicrossed group carries the
+    split, whose parent is (G, B) and whose companion map is B~."""
+    bc = ct.ambient
+    split = bc.attached_split()
+    rbg = split.parent
     g = rbg.group
     report = Report(subject=f"second_factor_iso_group(order={g.order})")
     rb_bar, projection, qreport = quotient_rb_group(rbg)
     report.merge(qreport, prefix="quotient-")
 
-    _, ct, _ = canonical_group_projections(rbg)
-    bc = ct.ambient
     total = bc.total
     ctv = ct.operator.values
     g2 = subgroup_from_members(total, set(ctv))
@@ -624,12 +628,11 @@ def iso_second_factor_quotient_group(rbg: RotaBaxterGroup) -> Report:
     if witness:
         return report
     b2_map = GroupMap(g2.induced, g2.induced, tuple(b2_vals))
-    rb_check = check_rb_group(g2.induced, b2_map)
-    report.add(Check("factor-operator-rota-baxter", rb_check.anchor,
-                     rb_check.holds, rb_check.witness))
+    report.add(replace(check_rb_group(g2.induced, b2_map),
+                       name="factor-operator-rota-baxter"))
 
     bvals = rbg.operator.values
-    tvals = tilde_map(rbg).values
+    tvals = split.b_tilde.values
     pi_parent = []
     witness = None
     for a in g.elements():

@@ -19,7 +19,7 @@ the kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -65,7 +65,7 @@ from .rb_lie import (
     split_subalgebras,
     tilde_operator,
 )
-from .reports import Check, Report, checked
+from .reports import Report, checked
 
 ACTION_CONVENTION = (
     "rhd: plus-factor acts on minus-factor; brhd: minus-factor acts on "
@@ -306,25 +306,20 @@ def bicrossed_product(mp: MatchedPairLie, split: RBSplit | None = None) -> Bicro
 def bicrossed_certificates(bc: BicrossedLie) -> Report:
     """Jacobi for the total bracket plus block-embedding homomorphism checks."""
     report = Report(subject=f"bicrossed(p={bc.p},q={bc.q})")
-    total_report = validate_lie_algebra(bc.total)
-    for check in total_report.checks:
-        report.add(Check(f"total-{check.name}",
-                         "bicrossed-jacobi" if check.name == "jacobi" else check.anchor,
-                         check.holds, check.witness))
+    for check in validate_lie_algebra(bc.total).checks:
+        report.add(replace(
+            check, name=f"total-{check.name}",
+            anchor="bicrossed-jacobi" if check.name == "jacobi" else check.anchor))
     p, q, n = bc.p, bc.q, bc.p + bc.q
     inc_plus = LieHom(bc.pair.g_plus, bc.total, Matrix.from_rows(
         [[Fraction(1 if i == j else 0) for j in range(p)] for i in range(n)], p))
     inc_minus = LieHom(bc.pair.g_minus, bc.total, Matrix.from_rows(
         [[Fraction(1 if i == p + a else 0) for a in range(q)] for i in range(n)], q))
-    report.add(Check("plus-embedding-homomorphism", "block-embedding",
-                     *_strip(check_homomorphism(inc_plus))))
-    report.add(Check("minus-embedding-homomorphism", "block-embedding",
-                     *_strip(check_homomorphism(inc_minus))))
+    report.add(replace(check_homomorphism(inc_plus),
+                       name="plus-embedding-homomorphism", anchor="block-embedding"))
+    report.add(replace(check_homomorphism(inc_minus),
+                       name="minus-embedding-homomorphism", anchor="block-embedding"))
     return report
-
-
-def _strip(check: Check) -> tuple[bool, str | None]:
-    return check.holds, check.witness
 
 
 def matched_pair_from_rb(rb: RotaBaxterLie) -> tuple[MatchedPairLie, RBSplit]:
@@ -535,9 +530,8 @@ def is_lie_projection(bc: BicrossedLie, c: Matrix) -> Report:
     report.add(checked(
         "idempotent", "projection-idempotency",
         None if c @ c == c else "C squared differs from C"))
-    hom = check_homomorphism(LieHom(bc.total, bc.total, c), "endomorphism")
-    report.add(Check("endomorphism", "projection-endomorphism",
-                     hom.holds, hom.witness))
+    report.add(replace(check_homomorphism(LieHom(bc.total, bc.total, c)),
+                       name="endomorphism", anchor="projection-endomorphism"))
     return report
 
 
@@ -684,12 +678,10 @@ def rb_from_projection(
     b_matrix, bt_matrix = ops
     report.add(checked("images-stay-in-kernel", "kernel-stability", None))
 
-    first = check_rota_baxter(sub.algebra, b_matrix, Fraction(-1))
-    report.add(Check("plus-part-rota-baxter", first.anchor, first.holds,
-                     first.witness))
-    second = check_rota_baxter(sub.algebra, bt_matrix, Fraction(-1))
-    report.add(Check("minus-part-rota-baxter", second.anchor, second.holds,
-                     second.witness))
+    report.add(replace(check_rota_baxter(sub.algebra, b_matrix, Fraction(-1)),
+                       name="plus-part-rota-baxter"))
+    report.add(replace(check_rota_baxter(sub.algebra, bt_matrix, Fraction(-1)),
+                       name="minus-part-rota-baxter"))
     report.add(checked(
         "operators-sum-to-identity", "weight-minus-one-partition",
         None if b_matrix + bt_matrix == Matrix.identity(kernel.dim)
@@ -826,9 +818,8 @@ def iso_first_factor(dec: Decomposition) -> Report:
     if witness:
         return report
     b1 = Matrix.from_rows([[cols[t][r] for t in range(k)] for r in range(k)], k)
-    rb_check = check_rota_baxter(dec.g1.algebra, b1, Fraction(-1))
-    report.add(Check("factor-operator-rota-baxter", rb_check.anchor,
-                     rb_check.holds, rb_check.witness))
+    report.add(replace(check_rota_baxter(dec.g1.algebra, b1, Fraction(-1)),
+                       name="factor-operator-rota-baxter"))
 
     pi_images = []
     witness = None
@@ -889,9 +880,8 @@ def iso_second_factor_quotient(dec: Decomposition) -> Report:
     if witness:
         return report
     b2 = Matrix.from_rows([[cols[t][r] for t in range(k)] for r in range(k)], k)
-    rb_check = check_rota_baxter(dec.g2.algebra, b2, Fraction(-1))
-    report.add(Check("factor-operator-rota-baxter", rb_check.anchor,
-                     rb_check.holds, rb_check.witness))
+    report.add(replace(check_rota_baxter(dec.g2.algebra, b2, Fraction(-1)),
+                       name="factor-operator-rota-baxter"))
 
     prod = rb.operator @ rb.tilde_matrix()
     kernel_sum = bc.split.h_plus.add(bc.split.h_minus)

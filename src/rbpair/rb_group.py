@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .errors import (
@@ -231,9 +231,8 @@ def quotient_rb_group(
                        "quotient-well-defined", None))
 
     quotient_map = GroupMap(quotient, quotient, tuple(induced))
-    rbcheck = check_rb_group(quotient, quotient_map)
-    report.add(Check("quotient-rota-baxter", rbcheck.anchor, rbcheck.holds,
-                     rbcheck.witness))
+    report.add(replace(check_rb_group(quotient, quotient_map),
+                       name="quotient-rota-baxter"))
     return RotaBaxterGroup(quotient, quotient_map), projection, report
 
 
@@ -352,8 +351,9 @@ def enumerate_rb_operators(g: FiniteGroup, mode: str = "pruned",
 
     ``naive`` tries all order^(order-1) maps with B(e) = e pinned; ``pruned``
     runs a DFS with constraint propagation.  Both return identical lists.
-    Work may be split across processes on the value of B at element 1; the
-    merged output is independent of ``jobs``.
+    Work may be split across processes on the value of B at element 1, with
+    at most one process per value; the merged output is independent of
+    ``jobs``.
     """
     bound = _order_bound()
     if g.order > bound:
@@ -373,7 +373,7 @@ def enumerate_rb_operators(g: FiniteGroup, mode: str = "pruned",
     if jobs == 1:
         chunks = [worker(g.table, v) for v in roots]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(roots))) as pool:
             chunks = list(pool.map(worker, [g.table] * len(roots), roots))
     merged = sorted(values for chunk in chunks for values in chunk)
     return [GroupMap(g, g, values) for values in merged]
@@ -416,8 +416,8 @@ def lemma_suite_group(rbg: RotaBaxterGroup) -> Report:
     g = rbg.group
     report = Report(subject=f"group_lemma_suite(order={g.order})")
     b = rbg.operator.values
-    tilde = tilde_map(rbg)
-    bt = tilde.values
+    tilde_rbg = tilde_rb_group(rbg)
+    bt = tilde_rbg.operator.values
 
     report.add(check_rb_group(g, rbg.operator))
     report.add(checked("identity-fixed", "identity-image",
@@ -446,16 +446,14 @@ def lemma_suite_group(rbg: RotaBaxterGroup) -> Report:
         "companion-of-image-exchange", "image-swap-identity",
         scan(lambda a: bt[b[a]] == b[g.inv(bt[g.inv(a)])])))
 
-    double = tilde_map(tilde_rb_group(rbg))
+    double = tilde_map(tilde_rbg)
     report.add(checked(
         "companion-involution", "companion-involution",
         None if double.values == rbg.operator.values
         else "companion applied twice differs from the original map"))
 
-    tilde_rbg = tilde_rb_group(rbg)
-    tilde_check = check_rb_group(g, tilde)
-    report.add(Check("companion-rota-baxter", tilde_check.anchor,
-                     tilde_check.holds, tilde_check.witness))
+    report.add(replace(check_rb_group(g, tilde_rbg.operator),
+                       name="companion-rota-baxter"))
 
     def pair_scan(testfn) -> str | None:
         for a in g.elements():
@@ -475,9 +473,8 @@ def lemma_suite_group(rbg: RotaBaxterGroup) -> Report:
                   == g.inv(rbg.descendent_mul(g.inv(a), g.inv(c))))))
 
     desc = descendent_group(rbg)
-    desc_check = check_rb_group(desc, GroupMap(desc, desc, rbg.operator.values))
-    report.add(Check("operator-rota-baxter-on-descendent", desc_check.anchor,
-                     desc_check.holds, desc_check.witness))
+    report.add(replace(check_rb_group(desc, GroupMap(desc, desc, b)),
+                       name="operator-rota-baxter-on-descendent"))
 
     report.add(checked(
         "operator-descendent-to-parent-homomorphism",

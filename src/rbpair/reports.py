@@ -13,7 +13,7 @@ candidate identity holds without deciding the report's overall verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ class Report:
     def merge(self, other: "Report", prefix: str = "") -> None:
         for check in other.checks:
             if prefix:
-                check = Check(f"{prefix}{check.name}", check.anchor, check.holds,
-                              check.witness, check.required)
+                check = replace(check, name=f"{prefix}{check.name}")
             self.add(check)
 
     def failures(self) -> list[Check]:

@@ -3,11 +3,12 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from rbpair import cli, io, matched_lie
+from rbpair import cli, io, matched_group, matched_lie
 from rbpair.cli import main
 from rbpair.fixtures import (
     abelian2_half_rb,
@@ -16,8 +17,10 @@ from rbpair.fixtures import (
     sl_borel_rb,
     z4_squaring_rb,
 )
+from rbpair.groups import GroupMap, symmetric3
 from rbpair.matched_lie import decompose_bicrossed
 from rbpair.quadratic import cotangent_fixture
+from rbpair.rb_group import RotaBaxterGroup
 
 
 def write(tmp_path, name, payload) -> str:
@@ -286,6 +289,67 @@ def test_decompose_lie_matches_golden_bytes(tmp_path, capsys, name, fmt):
     assert code == 0
     suffix = "txt" if fmt == "text" else "json"
     assert out.encode() == (GOLDEN / f"decompose_lie_{name}.{suffix}").read_bytes()
+
+
+def s3_separating_rb() -> RotaBaxterGroup:
+    """An S3 operator whose matched pair has a non-trivial minus action."""
+    s3 = symmetric3()
+    return RotaBaxterGroup(s3, GroupMap(s3, s3, (0, 0, 3, 3, 4, 4)))
+
+
+def group_paths(tmp_path, rbg) -> tuple[str, str]:
+    return (write(tmp_path, "group.json", io.group_to_dict(rbg.group)),
+            write(tmp_path, "op.json", io.group_map_to_dict(rbg.operator)))
+
+
+# Expected stdout of `rbpair decompose group` and `rbpair search --verify-all`,
+# recorded before the group-side certificates were changed to share one
+# matched pair, bicrossed group and projection pair.
+GROUP_GOLDEN_INPUTS = {
+    "z4_squaring_rb": z4_squaring_rb,
+    "s3_separating_rb": s3_separating_rb,
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", list(GROUP_GOLDEN_INPUTS))
+def test_decompose_group_matches_golden_bytes(tmp_path, capsys, name, fmt):
+    gpath, opath = group_paths(tmp_path, GROUP_GOLDEN_INPUTS[name]())
+    code, out, _ = run(capsys, ["decompose", "group", gpath, opath,
+                                "--report", fmt])
+    assert code == 0
+    suffix = "txt" if fmt == "text" else "json"
+    assert out.encode() == (GOLDEN / f"decompose_group_{name}.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_search_verify_all_matches_golden_bytes(tmp_path, capsys, fmt):
+    path = write(tmp_path, "s3.json", io.group_to_dict(symmetric3()))
+    code, out, _ = run(capsys, ["search", path, "--verify-all", "--report", fmt])
+    assert code == 0
+    suffix = "txt" if fmt == "text" else "json"
+    assert out.encode() == (GOLDEN / f"search_verify_all_s3.{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("argv, per_run", [
+    (["decompose", "group", "{group}", "{op}"], 1),
+    (["search", "{group}", "--verify-all"], 8),
+])
+def test_group_chain_built_once_per_operator(tmp_path, capsys, monkeypatch,
+                                             argv, per_run):
+    names = ("matched_pair_from_rb_group", "bicrossed_group",
+             "canonical_group_projections")
+    calls = Counter()
+    for name in names:
+        def counting(*args, _original=getattr(matched_group, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(matched_group, name, counting)
+        monkeypatch.setattr(cli, name, counting)
+    gpath, opath = group_paths(tmp_path, s3_separating_rb())
+    code, _, _ = run(capsys, [a.format(group=gpath, op=opath) for a in argv])
+    assert code == 0
+    assert calls == {name: per_run for name in names}
 
 
 def test_decompose_group_reports_quotient_order(tmp_path, capsys):

@@ -38,6 +38,15 @@ def constant_op(g: FiniteGroup) -> RotaBaxterGroup:
     return RotaBaxterGroup(g, GroupMap(g, g, (0,) * g.order))
 
 
+def projections(rbg: RotaBaxterGroup):
+    return canonical_group_projections(bicrossed_from_rb_group(rbg))
+
+
+def second_factor_iso(rbg: RotaBaxterGroup):
+    _, ct, _ = projections(rbg)
+    return iso_second_factor_quotient_group(ct)
+
+
 # ------------------------------------------------------------ verification
 
 
@@ -208,7 +217,7 @@ def test_group_projection_check_wrong_endpoints():
 
 
 def test_canonical_projections_z4_squaring_frozen_tables():
-    chat, ct, report = canonical_group_projections(z4_squaring_rb())
+    chat, ct, report = projections(z4_squaring_rb())
     assert report.ok
     assert chat.operator.values == (0, 7, 2, 5, 2, 5, 0, 7)
     assert ct.operator.values == (0, 6, 0, 6, 6, 0, 6, 0)
@@ -223,7 +232,7 @@ def test_canonical_projections_z4_squaring_frozen_tables():
 
 def test_canonical_projections_identity_operator():
     z2 = cyclic(2)
-    chat, ct, report = canonical_group_projections(identity_op(z2))
+    chat, ct, report = projections(identity_op(z2))
     assert report.ok
     assert chat.ambient.total.order == 2
     assert chat.operator.values == (0, 1)
@@ -232,7 +241,7 @@ def test_canonical_projections_identity_operator():
 
 def test_canonical_projections_constant_operator():
     s3 = symmetric3()
-    chat, ct, report = canonical_group_projections(constant_op(s3))
+    chat, ct, report = projections(constant_op(s3))
     assert report.ok
     assert chat.ambient.total.order == 6
     assert chat.operator.values == (0, 1, 2, 3, 4, 5)
@@ -243,8 +252,14 @@ def test_canonical_projections_constant_operator():
                          ids=("z4", "klein", "s3"))
 def test_canonical_projections_census(g):
     for op in enumerate_rb_operators(g):
-        _, _, report = canonical_group_projections(RotaBaxterGroup(g, op))
+        _, _, report = projections(RotaBaxterGroup(g, op))
         assert report.ok, report.failures()
+
+
+def test_canonical_projections_need_the_split():
+    bc = bicrossed_group(trivial_actions(cyclic(2), cyclic(2)))
+    with pytest.raises(MalformedInputError):
+        canonical_group_projections(bc)
 
 
 # ------------------------------------------------ operators from projections
@@ -272,7 +287,7 @@ def test_rb_from_projection_identity_map():
 
 
 def test_rb_from_projection_canonical_first():
-    chat, _, _ = canonical_group_projections(z4_squaring_rb())
+    chat, _, _ = projections(z4_squaring_rb())
     rb_plus, rb_minus, sub, report = rb_from_group_projection(chat.ambient, chat)
     assert report.ok
     assert sub.members == (0, 6)
@@ -291,7 +306,7 @@ def test_rb_from_projection_escaping_image_raises():
 
 
 def test_iso_second_factor_z4_squaring():
-    report = iso_second_factor_quotient_group(z4_squaring_rb())
+    report = second_factor_iso(z4_squaring_rb())
     assert report.ok
     assert report.data["quotient_order"] == 2
     assert report.data["g2_order"] == 2
@@ -306,7 +321,7 @@ def test_iso_second_factor_z4_squaring():
 @pytest.mark.parametrize("make", (identity_op, constant_op),
                          ids=("identity", "constant"))
 def test_iso_second_factor_trivial_cases(make):
-    report = iso_second_factor_quotient_group(make(symmetric3()))
+    report = second_factor_iso(make(symmetric3()))
     assert report.ok
     assert report.data["quotient_order"] == 1
     assert report.data["g2_order"] == 1
@@ -316,7 +331,7 @@ def test_iso_second_factor_trivial_cases(make):
                          ids=("z4", "klein", "s3"))
 def test_iso_second_factor_census(g):
     for op in enumerate_rb_operators(g):
-        report = iso_second_factor_quotient_group(RotaBaxterGroup(g, op))
+        report = second_factor_iso(RotaBaxterGroup(g, op))
         assert report.ok, (op.values, report.failures())
 
 

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from rbpair import rb_group
 from rbpair.errors import (
     MalformedInputError,
     OrderBoundExceededError,
@@ -304,6 +305,31 @@ class TestEnumeration:
         parallel = [op.values for op in
                     enumerate_rb_operators(klein, mode="naive", jobs=2)]
         assert sequential == parallel
+
+    def test_jobs_capped_at_root_count(self, monkeypatch):
+        # a serial stand-in records the pool size; no real pool is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(rb_group, "ProcessPoolExecutor", SerialPool)
+        s3 = symmetric3()
+        expected = [op.values for op in enumerate_rb_operators(s3)]
+        for jobs, size in ((100_000, 6), (6, 6), (2, 2)):
+            got = [op.values for op in enumerate_rb_operators(s3, jobs=jobs)]
+            assert got == expected
+            assert sizes.pop() == size
 
 
 class TestLemmaSuite:
