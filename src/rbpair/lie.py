@@ -1,15 +1,19 @@
 """Finite-dimensional Lie algebras over Q, presented by structure constants.
 
 An algebra of dimension n stores the full tensor c[i][j] = coordinates of the
-bracket of basis vectors i and j.  Validation is exhaustive: antisymmetry and
-the Jacobi identity are checked on every index combination and the first
-failure is returned as a concrete witness.
+bracket of basis vectors i and j.  Alongside it, built once per algebra on
+first use, it keeps a sparse term table (for each basis pair the nonzero
+(k, c[i][j][k])) and its basis vectors; the bracket reads only the table.
+Validation is exhaustive: antisymmetry and the Jacobi identity are checked on
+every index combination and the first failure is returned as a concrete
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, NotAnIdealError, NotClosedError
@@ -21,16 +25,45 @@ from .linalg import (
     is_zero_vector,
     vadd,
     vector,
-    vscale,
     vzero,
 )
 from .reports import Check, Report, checked
 
 BracketTensor = tuple[tuple[Vector, ...], ...]
+TermTable = tuple[tuple[tuple[tuple[int, Fraction], ...], ...], ...]
 
 
 def default_labels(n: int, prefix: str = "x") -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
+
+
+def term_table(tensor: BracketTensor) -> TermTable:
+    """table[i][j]: the nonzero (k, tensor[i][j][k]) in increasing k."""
+    return tuple(
+        tuple(tuple((k, v) for k, v in enumerate(vec) if v) for vec in row)
+        for row in tensor)
+
+
+def contract(table: TermTable, x: Vector, y: Vector, dim: int) -> Vector:
+    """The bilinear map sum over i, j, k of x[i]·y[j]·t[i][j][k] e_k, for the
+    tensor t of ``table``, with output length ``dim``.
+
+    Only nonzero x[i], y[j] and t[i][j][k] contribute: every skipped term
+    is an exact zero, so each coordinate is the same Fraction as the dense
+    sum, and the nonzero terms are added in the dense loop's order."""
+    out = list(vzero(dim))
+    ys = [(j, yj) for j, yj in enumerate(y) if yj]
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in ys:
+            pair = row[j]
+            if pair:
+                s = xi * yj
+                for k, c in pair:
+                    out[k] += s * c
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -78,26 +111,32 @@ class LieAlgebra:
         frozen = tuple(tuple(tuple(v) for v in row) for row in tensor)
         return cls(labs, frozen)
 
+    @cached_property
+    def terms(self) -> TermTable:
+        """terms[i][j]: the nonzero (k, c[i][j][k]) in increasing k."""
+        return term_table(self.c)
+
+    @cached_property
+    def _basis(self) -> tuple[Vector, ...]:
+        n = self.dim
+        return tuple(tuple(Fraction(1 if j == i else 0) for j in range(n))
+                     for i in range(n))
+
     def bracket_basis(self, i: int, j: int) -> Vector:
         return self.c[i][j]
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
+        """[x, y] = sum over i, j, k of x[i]·y[j]·c[i][j][k] e_k, read from
+        the term table.  Skipping the terms with a zero x[i], y[j] or
+        c[i][j][k] is exact: each of them is an exact rational zero, and
+        adding it would leave every coordinate unchanged."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
             raise DimensionMismatchError("bracket operands must have length dim")
-        out = vzero(self.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                term = self.c[i][j]
-                if not is_zero_vector(term):
-                    out = vadd(out, vscale(xi * yj, term))
-        return out
+        return contract(self.terms, x, y, n)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
+        return self._basis[i]
 
     def relabel(self, labels: Sequence[str]) -> "LieAlgebra":
         labs = tuple(labels)
@@ -122,23 +161,32 @@ def validate_lie_algebra(g: LieAlgebra) -> Report:
             break
     report.add(checked("antisymmetry", "lie-bracket-antisymmetry", witness))
 
-    witness = None
-    for i in range(n):
-        if witness:
-            break
-        for j in range(n):
-            if witness:
-                break
-            for k in range(n):
-                acc = g.bracket(g.c[i][j], g.basis_vector(k))
-                acc = vadd(acc, g.bracket(g.c[j][k], g.basis_vector(i)))
-                acc = vadd(acc, g.bracket(g.c[k][i], g.basis_vector(j)))
-                if not is_zero_vector(acc):
-                    witness = (f"jacobiator({g.labels[i]},{g.labels[j]},"
-                               f"{g.labels[k]}) = {[str(x) for x in acc]}")
-                    break
-    report.add(checked("jacobi", "lie-jacobi-identity", witness))
+    report.add(checked("jacobi", "lie-jacobi-identity", _jacobi_witness(g)))
     return report
+
+
+def _jacobi_witness(g: LieAlgebra) -> str | None:
+    """The first (i, j, k) whose jacobiator
+    [[eᵢ,eⱼ],eₖ] + [[eⱼ,eₖ],eᵢ] + [[eₖ,eᵢ],eⱼ] is nonzero.
+
+    Each term is summed from the term table: [[a,b],e] has coordinate l
+    equal to the sum over the nonzero c[a][b][m] and c[m][e][l] of their
+    products, which is ``bracket(c[a][b], basis_vector(e))`` without its
+    exact zero terms."""
+    n = g.dim
+    terms = g.terms
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = list(vzero(n))
+                for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                    for m, v in terms[a][b]:
+                        for l, w in terms[m][e]:
+                            acc[l] += v * w
+                if any(acc):
+                    return (f"jacobiator({g.labels[i]},{g.labels[j]},"
+                            f"{g.labels[k]}) = {[str(x) for x in acc]}")
+    return None
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,12 @@ routine is exact; floats are rejected outright.  Subspaces are stored as
 reduced row echelon bases, which makes equality of subspaces literal equality
 of matrices and keeps all downstream constructions canonical and
 reproducible.
+
+The vector kernels skip zero entries: ``vdot`` (and so ``matvec`` and ``@``)
+multiplies only pairs of nonzero factors, ``vadd`` and ``vscale`` return the
+other operand's entry where one entry is zero, and ``vsub`` the entry or its
+negation.  Adding or multiplying by an exact zero changes no value, so the
+results equal the plain zipped arithmetic entry for entry.
 """
 
 from __future__ import annotations
@@ -42,25 +48,28 @@ def vector(values: Iterable) -> Vector:
     return tuple(frac(v) for v in values)
 
 
+_ZERO = Fraction(0)
+
+
 def vzero(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (_ZERO,) * n
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
     if len(x) != len(y):
         raise DimensionMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple((a + b if b else a) if a else b for a, b in zip(x, y))
 
 
 def vsub(x: Vector, y: Vector) -> Vector:
     if len(x) != len(y):
         raise DimensionMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple((a - b if b else a) if a else -b for a, b in zip(x, y))
 
 
 def vscale(s, x: Vector) -> Vector:
     c = frac(s)
-    return tuple(c * a for a in x)
+    return tuple(c * a if a else a for a in x)
 
 
 def vneg(x: Vector) -> Vector:
@@ -70,11 +79,15 @@ def vneg(x: Vector) -> Vector:
 def vdot(x: Vector, y: Vector) -> Fraction:
     if len(x) != len(y):
         raise DimensionMismatchError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
+    total = _ZERO
+    for a, b in zip(x, y):
+        if a and b:
+            total += a * b
+    return total
 
 
 def is_zero_vector(x: Vector) -> bool:
-    return all(a == 0 for a in x)
+    return not any(x)
 
 
 @dataclass(frozen=True)
@@ -295,7 +308,7 @@ class Subspace:
         pivots = []
         for row in self.basis.entries:
             for c, x in enumerate(row):
-                if x != 0:
+                if x:
                     pivots.append(c)
                     break
         return tuple(pivots)

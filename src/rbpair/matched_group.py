@@ -359,7 +359,7 @@ def matched_pair_from_rb_group(
     canonicalizing one choice.
     """
     g = rbg.group
-    split, _ = split_subgroups(rbg)
+    split = split_subgroups(rbg)
     bvals = rbg.operator.values
     tvals = split.b_tilde.values
     plus, minus = split.g_plus, split.g_minus
@@ -606,7 +606,7 @@ def iso_second_factor_quotient_group(ct: GroupProjection) -> Report:
     rbg = split.parent
     g = rbg.group
     report = Report(subject=f"second_factor_iso_group(order={g.order})")
-    rb_bar, projection, qreport = quotient_rb_group(rbg)
+    rb_bar, projection, qreport = quotient_rb_group(split)
     report.merge(qreport, prefix="quotient-")
 
     total = bc.total

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AxiomsFailedError,
@@ -34,11 +35,14 @@ from .lie import (
     EmbeddedSubalgebra,
     LieAlgebra,
     LieHom,
+    TermTable,
     check_homomorphism,
+    contract,
     default_labels,
     direct_sum,
     hom_from_images,
     induced_subalgebra,
+    term_table,
     validate_lie_algebra,
 )
 from .linalg import (
@@ -95,29 +99,21 @@ class MatchedPairLie:
                 len(row) != p or any(len(v) != p for v in row) for row in self.brhd):
             raise DimensionMismatchError("brhd tensor must be q x p x p")
 
+    @cached_property
+    def rhd_terms(self) -> TermTable:
+        return term_table(self.rhd)
+
+    @cached_property
+    def brhd_terms(self) -> TermTable:
+        return term_table(self.brhd)
+
     def act_plus(self, x: Vector, v: Vector) -> Vector:
         """x ▷ v for x in g₊ coordinates, v in g₋ coordinates."""
-        out = vzero(self.g_minus.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for a, va in enumerate(v):
-                if va == 0:
-                    continue
-                out = vadd(out, vscale(xi * va, self.rhd[i][a]))
-        return out
+        return contract(self.rhd_terms, x, v, self.g_minus.dim)
 
     def act_minus(self, u: Vector, y: Vector) -> Vector:
         """u ▶ y for u in g₋ coordinates, y in g₊ coordinates."""
-        out = vzero(self.g_plus.dim)
-        for a, ua in enumerate(u):
-            if ua == 0:
-                continue
-            for i, yi in enumerate(y):
-                if yi == 0:
-                    continue
-                out = vadd(out, vscale(ua * yi, self.brhd[a][i]))
-        return out
+        return contract(self.brhd_terms, u, y, self.g_plus.dim)
 
 
 def zero_actions(g_plus: LieAlgebra, g_minus: LieAlgebra) -> MatchedPairLie:

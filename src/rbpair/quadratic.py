@@ -71,8 +71,10 @@ def form_value(s: Matrix, u: Vector, v: Vector) -> Fraction:
     for i, ui in enumerate(u):
         if ui == 0:
             continue
+        row = s.entries[i]
         for j, vj in enumerate(v):
-            total += ui * s.entries[i][j] * vj
+            if vj and row[j]:
+                total += ui * row[j] * vj
     return total
 
 
@@ -222,11 +224,10 @@ def cotangent_fixture(g: LieAlgebra) -> QuadraticRB:
     return QuadraticRB(rb, Matrix.from_rows(s_rows, d))
 
 
-def _representatives(q: QuadraticRB) -> tuple[BicrossedLie, list, list]:
-    """The bicrossed algebra and, for each of its basis vectors, one
-    preimage pair (x₁, x₂) with B(x₁) = plus part and ~B(x₂) = minus part."""
+def _representatives(q: QuadraticRB, bc: BicrossedLie) -> tuple[list, list]:
+    """For each basis vector of the bicrossed algebra, one preimage pair
+    (x₁, x₂) with B(x₁) = plus part and ~B(x₂) = minus part."""
     rb = q.rb
-    bc = bicrossed_from_rb(rb)
     split = bc.split
     zero = vzero(rb.algebra.dim)
     x1s: list = []
@@ -246,13 +247,13 @@ def _representatives(q: QuadraticRB) -> tuple[BicrossedLie, list, list]:
                 "a companion-image basis vector has no preimage")
         x1s.append(zero)
         x2s.append(x2)
-    return bc, x1s, x2s
+    return x1s, x2s
 
 
-def _induced_entry(q: QuadraticRB, x1k, x2k, x1l, x2l) -> Fraction:
-    rb, s = q.rb, q.form
-    return (form_value(s, rb.apply(x1k), x2l)
-            + form_value(s, rb.apply(x1l), x2k))
+def _induced_entry(s: Matrix, bx1k, x2k, bx1l, x2l) -> Fraction:
+    """The induced pairing S(B(x₁ₖ), x₂ₗ) + S(B(x₁ₗ), x₂ₖ), given B(x₁ₖ)
+    and B(x₁ₗ)."""
+    return form_value(s, bx1k, x2l) + form_value(s, bx1l, x2k)
 
 
 def manin_triple(q: QuadraticRB) -> tuple[ManinTriple, Report]:
@@ -266,16 +267,22 @@ def manin_triple(q: QuadraticRB) -> tuple[ManinTriple, Report]:
     bicrossed bracket, complementarity of the two blocks, and isotropy of
     each block.
     """
-    rb = q.rb
-    if rb.weight != Fraction(-1):
+    if q.rb.weight != Fraction(-1):
         raise WeightUnsupportedError(
             "the induced form on the bicrossed product needs weight -1")
-    bc, x1s, x2s = _representatives(q)
+    return _manin_triple_on(q, bicrossed_from_rb(q.rb))
+
+
+def _manin_triple_on(q: QuadraticRB,
+                     bc: BicrossedLie) -> tuple[ManinTriple, Report]:
+    """``manin_triple`` on the already built bicrossed algebra of q.rb."""
+    rb, s = q.rb, q.form
+    x1s, x2s = _representatives(q, bc)
+    bx1s = [rb.apply(x1) for x1 in x1s]
     n = bc.total.dim
     p = bc.p
-    g = rb.algebra
 
-    entries = [[_induced_entry(q, x1s[k], x2s[k], x1s[l], x2s[l])
+    entries = [[_induced_entry(s, bx1s[k], x2s[k], bx1s[l], x2s[l])
                 for l in range(n)] for k in range(n)]
 
     ker_b = kernel_vectors(rb.operator)
@@ -284,13 +291,14 @@ def manin_triple(q: QuadraticRB) -> tuple[ManinTriple, Report]:
         perturbed = [(vadd(x1s[k], kb), x2s[k]) for kb in ker_b]
         perturbed += [(x1s[k], vadd(x2s[k], kt)) for kt in ker_bt]
         for x1p, x2p in perturbed:
+            bx1p = rb.apply(x1p)
             for l in range(n):
-                if (_induced_entry(q, x1p, x2p, x1s[l], x2s[l])
+                if (_induced_entry(s, bx1p, x2p, bx1s[l], x2s[l])
                         != entries[k][l]):
                     raise RepresentativeDisagreementError(
                         "induced form depends on the preimage choice",
                         witness=f"entry ({k},{l})")
-                if (_induced_entry(q, x1s[l], x2s[l], x1p, x2p)
+                if (_induced_entry(s, bx1s[l], x2s[l], bx1p, x2p)
                         != entries[l][k]):
                     raise RepresentativeDisagreementError(
                         "induced form depends on the preimage choice",
@@ -399,13 +407,15 @@ def quadratic_decompose(q: QuadraticRB) -> Report:
 
     Each factor with the restricted form is certified quadratic, the two
     factors pair to zero, and the graph map x ↦ (B(x), companion value)
-    onto the first factor preserves the forms exactly.
+    onto the first factor preserves the forms exactly.  The bicrossed
+    algebra is built once, by the decomposition, and the Manin triple is
+    computed on it.
     """
     rb = q.rb
     if rb.weight != Fraction(-1):
         raise WeightUnsupportedError("quadratic decomposition needs weight -1")
-    mt, mt_report = manin_triple(q)
     dec, dec_report = decompose_bicrossed(rb)
+    mt, mt_report = _manin_triple_on(q, dec.bicrossed)
 
     report = Report(subject="quadratic_decomposition")
     report.merge(mt_report, prefix="manin-")

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -85,6 +86,12 @@ class RotaBaxterGroup:
         g = self.group
         return g.mul(g.conj(self.operator.values[a], b), a)
 
+    @cached_property
+    def descendent(self) -> FiniteGroup:
+        """The descendent group, built once per operator and shared by the
+        identity suite and the quotient."""
+        return descendent_group(self)
+
 
 def _rb_identity_witness(g: FiniteGroup, values) -> str | None:
     """First pair violating the operator identity, None if it holds."""
@@ -134,14 +141,15 @@ class RBGroupSplit:
     g_minus: SubgroupStruct  # image of B~
     h_plus: SubgroupStruct   # kernel of B~ (preimage of e)
     h_minus: SubgroupStruct  # kernel of B
+    report: Report = field(compare=False, repr=False)
 
 
-def split_subgroups(rbg: RotaBaxterGroup) -> tuple[RBGroupSplit, Report]:
+def split_subgroups(rbg: RotaBaxterGroup) -> RBGroupSplit:
     """Images and kernels of the operator and its companion, certified.
 
-    The report certifies that each image and kernel is closed (closure
-    failure raises instead, signalling an invalid operator), that each
-    kernel sits inside the matching image, and that it is normal there.
+    The split's report certifies that each image and kernel is closed
+    (closure failure raises instead, signalling an invalid operator), that
+    each kernel sits inside the matching image, and that it is normal there.
     """
     g = rbg.group
     tilde = tilde_map(rbg)
@@ -186,25 +194,25 @@ def split_subgroups(rbg: RotaBaxterGroup) -> tuple[RBGroupSplit, Report]:
     report.add(checked("operator-kernel-normal-in-companion-image",
                        "kernel-normality", normal_inside(h_minus, g_minus)))
 
-    split = RBGroupSplit(rbg, tilde, g_plus, g_minus, h_plus, h_minus)
-    return split, report
+    return RBGroupSplit(rbg, tilde, g_plus, g_minus, h_plus, h_minus, report)
 
 
 def quotient_rb_group(
-    rbg: RotaBaxterGroup,
+    split: RBGroupSplit,
 ) -> tuple[RotaBaxterGroup, GroupMap, Report]:
     """Quotient of the descendent group by the subgroup its kernels generate.
 
-    Builds the descendent group, generates the subgroup spanned by both
-    kernels inside it, quotients (normality there is a theorem; failure
+    Takes the split of the operator (whose certificates it carries over
+    under ``split-``), generates the subgroup spanned by both kernels inside
+    the descendent group, quotients (normality there is a theorem; failure
     raises and signals an invalid operator), and pushes the operator down,
     checking the induced value on every coset representative.
     """
+    rbg = split.parent
     g = rbg.group
     report = Report(subject=f"rb_group_quotient(order={g.order})")
-    desc = descendent_group(rbg)
-    split, split_report = split_subgroups(rbg)
-    report.merge(split_report, prefix="split-")
+    desc = rbg.descendent
+    report.merge(split.report, prefix="split-")
 
     kernel_union = set(split.h_plus.members) | set(split.h_minus.members)
     generated = generated_subgroup(desc, kernel_union)
@@ -472,7 +480,7 @@ def lemma_suite_group(rbg: RotaBaxterGroup) -> Report:
         pair_scan(lambda a, c: tilde_rbg.descendent_mul(a, c)
                   == g.inv(rbg.descendent_mul(g.inv(a), g.inv(c))))))
 
-    desc = descendent_group(rbg)
+    desc = rbg.descendent
     report.add(replace(check_rb_group(desc, GroupMap(desc, desc, b)),
                        name="operator-rota-baxter-on-descendent"))
 

@@ -105,11 +105,16 @@ def tilde_operator(rb: RotaBaxterLie) -> RotaBaxterLie:
 
 
 def descendent_algebra(rb: RotaBaxterLie) -> LieAlgebra:
-    """The algebra carrying [x,y]_B = [B(x),y] + [x,B(y)] + λ[x,y]."""
+    """The algebra carrying [x,y]_B = [B(x),y] + [x,B(y)] + λ[x,y].
+
+    The columns B(eᵢ) are read once; on basis vectors [eᵢ,eⱼ] is c[i][j]."""
     g = rb.algebra
     n = g.dim
+    cols = [rb.operator.col(i) for i in range(n)]
     tensor = tuple(
-        tuple(rb.descendent_bracket(g.basis_vector(i), g.basis_vector(j))
+        tuple(vadd(vadd(g.bracket(cols[i], g.basis_vector(j)),
+                        g.bracket(g.basis_vector(i), cols[j])),
+                   vscale(rb.weight, g.c[i][j]))
               for j in range(n))
         for i in range(n))
     return LieAlgebra(g.labels, tensor)

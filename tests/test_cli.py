@@ -1,26 +1,31 @@
 """Command-line behavior: exit codes, report formats, artifacts, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rbpair import cli, io, matched_group, matched_lie
+from rbpair import cli, io, matched_group, matched_lie, rb_group
 from rbpair.cli import main
 from rbpair.fixtures import (
     abelian2_half_rb,
     aff1,
+    gl_borel_rb,
     sl2_projection_rb,
     sl_borel_rb,
     z4_squaring_rb,
 )
 from rbpair.groups import GroupMap, symmetric3
+from rbpair.linalg import Matrix
 from rbpair.matched_lie import decompose_bicrossed
 from rbpair.quadratic import cotangent_fixture
 from rbpair.rb_group import RotaBaxterGroup
+from rbpair.rb_lie import RotaBaxterLie
 
 
 def write(tmp_path, name, payload) -> str:
@@ -291,6 +296,80 @@ def test_decompose_lie_matches_golden_bytes(tmp_path, capsys, name, fmt):
     assert out.encode() == (GOLDEN / f"decompose_lie_{name}.{suffix}").read_bytes()
 
 
+def sl2_mutated_rb() -> RotaBaxterLie:
+    """sl2_projection_rb with operator entry (0,2) changed to 1, so that the
+    Rota-Baxter identity fails and its witness string is pinned."""
+    return dataclasses.replace(sl2_projection_rb(), operator=Matrix.from_rows(
+        [[0, 0, 1], [0, 1, 0], [0, 0, 1]]))
+
+
+def cotangent_mutated_form():
+    """The aff1 cotangent fixture with form entry (0,0) changed to 1, so that
+    the compatibility checks fail with witnesses."""
+    q = cotangent_fixture(aff1())
+    rows = [list(row) for row in q.form.entries]
+    rows[0][0] = Fraction(1)
+    return dataclasses.replace(q, form=Matrix.from_rows(rows))
+
+
+# Expected stdout and artifact bytes of the `check` and `construct` commands
+# on the Lie side, recorded before the bracket and the vector operations were
+# rewritten to skip zero entries.  `construct bicrossed` reads the matched
+# pair artifacts recorded for `construct matched-pair`.
+RB_LIE_INPUTS = {
+    "sl2_projection_rb": sl2_projection_rb,
+    "gl2_borel_rb": lambda: gl_borel_rb(2),
+    "sl2_mutated_rb": sl2_mutated_rb,
+}
+QUADRATIC_INPUTS = {
+    "cotangent_aff1": lambda: cotangent_fixture(aff1()),
+    "cotangent_aff1_mutated_form": cotangent_mutated_form,
+}
+CONSTRUCT_GOLDEN_CASES = (
+    [(("check", "rb-lie"), name) for name in RB_LIE_INPUTS]
+    + [(("construct", "descend"), name) for name in RB_LIE_INPUTS]
+    + [(("construct", "matched-pair"), name) for name in RB_LIE_INPUTS]
+    + [(("construct", "bicrossed"), name)
+       for name in ("sl2_projection_rb", "gl2_borel_rb")]
+    + [(("check", "quadratic"), name) for name in QUADRATIC_INPUTS]
+    + [(("construct", "manin"), name) for name in QUADRATIC_INPUTS])
+
+
+def golden_stem(command: tuple[str, str], name: str) -> str:
+    return f"{command[0]}_{command[1].replace('-', '_')}_{name}"
+
+
+def golden_input(tmp_path, command: tuple[str, str], name: str) -> str:
+    if command[1] == "bicrossed":
+        mp_stem = golden_stem(("construct", "matched-pair"), name)
+        return str(GOLDEN / f"{mp_stem}.artifact.json")
+    if name in QUADRATIC_INPUTS:
+        return write(tmp_path, f"{name}.json",
+                     io.quadratic_to_dict(QUADRATIC_INPUTS[name]()))
+    return write(tmp_path, f"{name}.json", io.rb_lie_to_dict(RB_LIE_INPUTS[name]()))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, name", CONSTRUCT_GOLDEN_CASES,
+                         ids=[golden_stem(*case) for case in CONSTRUCT_GOLDEN_CASES])
+def test_lie_check_and_construct_match_golden_bytes(tmp_path, capsys, command,
+                                                    name, fmt):
+    argv = [*command, golden_input(tmp_path, command, name), "--report", fmt]
+    out_path = tmp_path / "artifact.json"
+    if command[0] == "construct":
+        argv += ["--out", str(out_path)]
+    code, out, _ = run(capsys, argv)
+    assert code == (1 if "mutated" in name else 0)
+    stem = golden_stem(command, name)
+    suffix = "txt" if fmt == "text" else "json"
+    assert out.encode() == (GOLDEN / f"{stem}.{suffix}").read_bytes()
+    artifact = GOLDEN / f"{stem}.artifact.json"
+    if artifact.exists():
+        assert out_path.read_bytes() == artifact.read_bytes()
+    else:
+        assert not out_path.exists()
+
+
 def s3_separating_rb() -> RotaBaxterGroup:
     """An S3 operator whose matched pair has a non-trivial minus action."""
     s3 = symmetric3()
@@ -350,6 +429,25 @@ def test_group_chain_built_once_per_operator(tmp_path, capsys, monkeypatch,
     code, _, _ = run(capsys, [a.format(group=gpath, op=opath) for a in argv])
     assert code == 0
     assert calls == {name: per_run for name in names}
+
+
+@pytest.mark.parametrize("argv, per_run", [
+    (["decompose", "group", "{group}", "{op}"], 1),
+    (["search", "{group}", "--verify-all"], 8),
+])
+def test_group_split_and_descendent_built_once_per_operator(
+        tmp_path, capsys, monkeypatch, argv, per_run):
+    calls = Counter()
+    for name in ("split_subgroups", "descendent_group"):
+        def counting(*args, _original=getattr(rb_group, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(rb_group, name, counting)
+        monkeypatch.setattr(matched_group, name, counting, raising=False)
+    gpath, opath = group_paths(tmp_path, s3_separating_rb())
+    code, _, _ = run(capsys, [a.format(group=gpath, op=opath) for a in argv])
+    assert code == 0
+    assert calls == {"split_subgroups": per_run, "descendent_group": per_run}
 
 
 def test_decompose_group_reports_quotient_order(tmp_path, capsys):

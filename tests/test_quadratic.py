@@ -3,9 +3,11 @@ cotangent double, the induced form on the bicrossed product, and the
 quadratic decomposition."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rbpair import matched_lie, quadratic
 from rbpair.errors import (
     DimensionMismatchError,
     RepresentativeDisagreementError,
@@ -279,6 +281,37 @@ def test_decompose_cotangent_sl2():
     assert report.ok
     assert report.data["g1_dim"] == 6
     assert report.data["g2_dim"] == 0
+
+
+# Expected reports of `quadratic_decompose`, recorded before it was changed to
+# build the bicrossed algebra once and derive the Manin triple from the
+# decomposition; they must stay unchanged byte for byte.
+GOLDEN = Path(__file__).parent / "golden"
+DECOMPOSE_GOLDEN_INPUTS = {
+    "cotangent_aff1": lambda: cotangent_fixture(aff1()),
+    "cotangent_sl2": lambda: cotangent_fixture(sl2()),
+    "one_dim_probe": one_dim_probe,
+}
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSE_GOLDEN_INPUTS))
+def test_decompose_matches_golden_bytes(name):
+    report = quadratic_decompose(DECOMPOSE_GOLDEN_INPUTS[name]())
+    stem = GOLDEN / f"quadratic_decompose_{name}"
+    assert report.to_text().encode() == stem.with_suffix(".txt").read_bytes()
+    assert report.to_json().encode() == stem.with_suffix(".json").read_bytes()
+
+
+def test_decompose_builds_bicrossed_once(monkeypatch):
+    calls = {"bicrossed_from_rb": 0, "decompose_bicrossed": 0}
+    for name in calls:
+        def counting(*args, _original=getattr(matched_lie, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(matched_lie, name, counting)
+        monkeypatch.setattr(quadratic, name, counting)
+    assert quadratic_decompose(cotangent_fixture(sl2())).ok
+    assert calls == {"bicrossed_from_rb": 1, "decompose_bicrossed": 1}
 
 
 def test_decompose_zero_dim_passes():

@@ -129,7 +129,8 @@ class TestDescendentGroup:
 class TestSplitSubgroups:
     def test_identity_operator_split(self):
         s3 = symmetric3()
-        split, report = split_subgroups(identity_op(s3))
+        split = split_subgroups(identity_op(s3))
+        report = split.report
         assert report.ok
         assert split.g_plus.members == tuple(range(6))
         assert split.g_minus.members == (0,)
@@ -138,7 +139,8 @@ class TestSplitSubgroups:
 
     def test_constant_operator_split(self):
         s3 = symmetric3()
-        split, report = split_subgroups(constant_op(s3))
+        split = split_subgroups(constant_op(s3))
+        report = split.report
         assert report.ok
         assert split.g_plus.members == (0,)
         assert split.g_minus.members == tuple(range(6))
@@ -146,7 +148,8 @@ class TestSplitSubgroups:
         assert split.h_minus.members == tuple(range(6))
 
     def test_z4_squaring_split(self):
-        split, report = split_subgroups(z4_squaring_rb())
+        split = split_subgroups(z4_squaring_rb())
+        report = split.report
         assert report.ok
         assert split.g_plus.members == (0, 2)
         assert split.g_minus.members == (0, 1, 2, 3)
@@ -154,7 +157,7 @@ class TestSplitSubgroups:
         assert split.h_minus.members == (0, 2)
 
     def test_report_check_names(self):
-        _, report = split_subgroups(z4_squaring_rb())
+        report = split_subgroups(z4_squaring_rb()).report
         names = {c.name for c in report.checks}
         assert "companion-kernel-normal-in-operator-image" in names
         assert "operator-kernel-inside-companion-image" in names
@@ -162,7 +165,8 @@ class TestSplitSubgroups:
 
 class TestQuotient:
     def test_z4_squaring_quotient(self):
-        quotient_rbg, projection, report = quotient_rb_group(z4_squaring_rb())
+        quotient_rbg, projection, report = quotient_rb_group(
+            split_subgroups(z4_squaring_rb()))
         assert report.ok
         assert quotient_rbg.group.order == 2
         assert quotient_rbg.group.labels == ("[0]", "[1]")
@@ -171,13 +175,13 @@ class TestQuotient:
 
     def test_identity_operator_quotient_is_trivial(self):
         s3 = symmetric3()
-        quotient_rbg, _, report = quotient_rb_group(identity_op(s3))
+        quotient_rbg, _, report = quotient_rb_group(split_subgroups(identity_op(s3)))
         assert report.ok
         assert quotient_rbg.group.order == 1
 
     def test_constant_operator_quotient_is_trivial(self):
         s3 = symmetric3()
-        quotient_rbg, _, report = quotient_rb_group(constant_op(s3))
+        quotient_rbg, _, report = quotient_rb_group(split_subgroups(constant_op(s3)))
         assert report.ok
         assert quotient_rbg.group.order == 1
 
